@@ -17,9 +17,11 @@ under ``pytest -s``):
   side, early exit once the ratio of minima clears the 2x floor, and
   bit-identity — ``utilization.tobytes()`` per record — verified on
   the *timed* zero-copy results;
-* ``vcmesh_sweep`` — the real (small) batched VC sweep through
+* ``vcmesh_sweep`` — the real (small) VC sweep through
   ``sweep_vc_grid(jobs=...)``, serial vs pooled, ``to_json`` equality
-  on every grid point: the wiring the transport rides in production;
+  on every grid point: the wiring the transport rides in production.
+  It runs the scalar engine, the only one ``jobs`` still shards (the
+  batched engine runs any grid as one batch);
 * ``cache_mmap`` — one large measured-matrix value warm-read from
   :class:`repro.exec.cache.ResultCache` as a legacy JSON entry
   (lists re-parsed on every hit) vs a binary-tier entry (``.npz``
@@ -53,7 +55,7 @@ TRANSPORT = dict(shards=8, jobs=8, points=128, samples=8000)
 #: wiring identity, the transport floor is asserted on TRANSPORT).
 SWEEP = dict(vc_counts=(1, 2), buffer_depths=(2, 4),
              credit_latencies=(1,), injection_rates=(None,), seeds=(0,),
-             cycles=1200, reply_flits=5, window=100)
+             cycles=400, reply_flits=5, window=100)
 
 #: Cache workload: one 1024x512 float64 "measured matrix" (~4 MiB).
 MATRIX_SHAPE = (1024, 512)
@@ -147,12 +149,12 @@ def vcmesh_transport_timings(floor: float = 2.0, attempts: int = 6) -> dict:
 
 
 def vcmesh_sweep_timings() -> dict:
-    """The real batched VC sweep, serial vs pooled (wiring identity)."""
+    """The real scalar VC sweep, serial vs pooled (wiring identity)."""
     start = time.perf_counter()
-    serial = sweep_vc_grid(engine="batched", **SWEEP)
+    serial = sweep_vc_grid(engine="scalar", **SWEEP)
     serial_s = time.perf_counter() - start
     start = time.perf_counter()
-    pooled = sweep_vc_grid(engine="batched", jobs=2, **SWEEP)
+    pooled = sweep_vc_grid(engine="scalar", jobs=2, **SWEEP)
     jobs_s = time.perf_counter() - start
     return {
         "points": len(serial),

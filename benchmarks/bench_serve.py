@@ -66,7 +66,7 @@ MESH_HOT_SECONDS = 1.0
 MESH_HOT_WORKERS = 4
 _MESH_SWEEP_PARAMS = {"rates": [0.05, 0.1, 0.2, 0.3], "arbiter": "rr",
                       "cycles": 2000, "warmup": 500}
-MESH_ENGINES = engine_registry.names("mesh")
+MESH_KERNELS = engine_registry.names("mesh")
 
 
 def _percentiles(samples: list) -> dict:
@@ -311,7 +311,7 @@ def _traffic_phase(loads=TRAFFIC_LOADS) -> dict:
     return {"duration_s": TRAFFIC_DURATION_S, "points": points}
 
 
-def collect(engines=ENGINES, mesh_engines=MESH_ENGINES,
+def collect(engines=ENGINES, mesh_engines=MESH_KERNELS,
             scaling: bool = True) -> dict:
     with tempfile.TemporaryDirectory() as cache_dir:
         with serve_in_thread(jobs=2, cache_dir=cache_dir,
@@ -392,7 +392,7 @@ def bench_serve(benchmark):
         # the cache/coalescing layer, not the simulator, bounds it
         assert hot["throughput_rps"] > 20
     assert record["cold"]["other_statuses"] == []
-    for engine in MESH_ENGINES:
+    for engine in MESH_KERNELS:
         mesh = record["mesh"][engine]
         assert mesh["cold_statuses"] == [200]
         assert mesh["hot"]["errors"] == 0
@@ -442,7 +442,7 @@ if __name__ == "__main__":
                         default="both",
                         help="measurement engine for the hot phase "
                              "(default: both, reported side by side)")
-    parser.add_argument("--mesh-engine", choices=MESH_ENGINES + ("both",),
+    parser.add_argument("--mesh-engine", choices=MESH_KERNELS + ("both",),
                         default="both",
                         help="mesh kernel for the mesh phase "
                              "(default: both, reported side by side)")
@@ -458,7 +458,7 @@ if __name__ == "__main__":
                              "(default: BENCH_traffic.json)")
     args = parser.parse_args()
     selected = ENGINES if args.engine == "both" else (args.engine,)
-    mesh_selected = (MESH_ENGINES if args.mesh_engine == "both"
+    mesh_selected = (MESH_KERNELS if args.mesh_engine == "both"
                      else (args.mesh_engine,))
     full_record = collect(engines=selected, mesh_engines=mesh_selected,
                           scaling=not args.no_scaling)

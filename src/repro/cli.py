@@ -118,8 +118,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    """Run the measurement service until interrupted; drain on exit."""
+    """Run the measurement service until SIGINT or SIGTERM; drain on exit."""
     import asyncio
+    import contextlib
+    import signal
 
     from repro.serve.server import ExperimentServer
 
@@ -130,6 +132,11 @@ def _cmd_serve(args) -> int:
                                   workers=args.workers,
                                   registry_path=args.registry)
         await server.start()
+        # installed after start() forked the compute tier, so its
+        # children keep the default SIGTERM action
+        with contextlib.suppress(NotImplementedError):
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, asyncio.current_task().cancel)
         tier = (f"workers={server.pool.size}" if server.pool is not None
                 else f"jobs={server.runner.jobs}")
         print(f"repro.serve listening on http://{server.host}:{server.port}"
@@ -349,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     def _engine_argument(p) -> None:
         p.add_argument("--engine",
                        choices=tuple(engine_registry.names("device")),
-                       default="scalar",
+                       default=engine_registry.default_name("device"),
                        help="measurement engine; vectorized is the "
                             "batched fast path, bit-identical to scalar")
 

@@ -19,36 +19,8 @@ consuming the *same* deterministic ``repro.rng`` noise streams:
   flow solver core (:func:`repro.noc.flows.solve_arrays`).
 
 Callers select the engine with ``engine="scalar"|"vectorized"`` on the
-measurement APIs; ``tests/test_fastpath_equivalence.py`` asserts exact
-equality between the two, and the REP004 lint rule keeps the public
-surfaces from drifting.
+measurement APIs (``None`` is the ``device`` domain default of
+:mod:`repro.engines`); ``tests/test_fastpath_equivalence.py`` asserts
+exact equality between the two, and the REP004 lint rule keeps the
+public surfaces from drifting.
 """
-
-from __future__ import annotations
-
-from repro import engines as _engines
-from repro.engines import FASTPATH_VERSION  # noqa: F401 (re-export)
-
-#: Engine names accepted by every device ``engine=`` selector, sourced
-#: from the :mod:`repro.engines` registry.
-ENGINES = _engines.names("device")
-
-
-def resolve_engine(engine: str | None) -> str:
-    """Validate an ``engine=`` argument (``None`` means scalar)."""
-    return _engines.resolve("device", engine, default="scalar")
-
-
-def engine_fingerprint(engine: str | None) -> dict:
-    """Cache-key fragment identifying the engine that produced a result.
-
-    Thin shim over :func:`repro.engines.fingerprint_for`: the scalar
-    golden model is version-free (its results define correctness);
-    versioned engines carry their registered ``*_version`` field so
-    recalibrating a fast path invalidates exactly its own entries.
-    Bare ``"batched"`` keeps its historical meaning — the mesh-domain
-    kernel — for callers predating qualified ``"domain:name"`` refs.
-    """
-    if engine == "batched":
-        return _engines.fingerprint("mesh", "batched")
-    return _engines.fingerprint("device", resolve_engine(engine))

@@ -10,12 +10,14 @@ module replaces those per-site checks with ONE registry:
 * :func:`register` declares an engine under a *domain* (``"device"``,
   ``"mesh"``, ``"vcmesh"``) with an optional version fingerprint and
   capability flags;
-* :func:`resolve` validates an ``engine=`` argument against a domain
-  (``None`` means the domain default);
+* :func:`resolve` validates an ``engine=`` argument against a domain;
+  every ``engine=`` parameter defaults to ``None``, which resolves to
+  the engine registered with ``default=True`` — the only place a
+  domain's default is stated;
 * :func:`fingerprint` / :func:`fingerprint_for` produce the cache-key
-  fragment :func:`repro.exec.cache.cache_key` folds in, so a cached
-  result is invalidated exactly when the engine that produced it is
-  re-versioned;
+  fragment :func:`repro.exec.cache.cache_key` folds in (from a
+  qualified ``"domain:name"`` reference), so a cached result is
+  invalidated exactly when the engine that produced it is re-versioned;
 * :func:`describe` lists the catalogue for ``repro engines`` and the
   serve endpoint parameter schemas.
 
@@ -26,8 +28,7 @@ name.  Every non-golden engine MUST register a ``version`` plus the
 lint rule fails the build otherwise (a missing version silently serves
 stale cache entries across kernel changes).
 
-Version constants live here (the registry owns fingerprints); the
-engine packages re-export them for backwards compatibility.
+Version constants live here: the registry owns fingerprints.
 """
 
 from __future__ import annotations
@@ -147,16 +148,14 @@ def default_name(domain: str) -> str:
     return name
 
 
-def resolve(domain: str, engine: str | None,
-            default: str | None = None) -> str:
+def resolve(domain: str, engine: str | None) -> str:
     """Validate an ``engine=`` argument against a domain.
 
-    ``None`` resolves to ``default`` when given, else the domain's
-    registered default.  Unknown names fail fast with the accepted
-    vocabulary, exactly like the per-site checks this replaces.
+    ``None`` resolves to the domain's registered default.  Unknown names
+    fail fast with the accepted vocabulary.
     """
     if engine is None:
-        engine = default if default is not None else default_name(domain)
+        engine = default_name(domain)
     return get(domain, engine).name
 
 
@@ -166,24 +165,14 @@ def fingerprint(domain: str, engine: str | None) -> dict:
 
 
 def fingerprint_for(ref: str) -> dict:
-    """Fingerprint from an engine reference string.
-
-    ``"domain:name"`` is exact; a bare name is accepted when it is
-    unambiguous — either unique across domains or (like ``"scalar"``)
-    fingerprint-identical everywhere it appears.
-    """
+    """Fingerprint from a qualified ``"domain:name"`` engine reference."""
     domain, sep, name = ref.partition(":")
-    if sep:
-        return get(domain, name).fingerprint()
-    matches = [e for e in _REGISTRY.values() if e.name == ref]
-    if not matches:
-        raise ConfigurationError(f"unknown engine {ref!r}")
-    prints = [e.fingerprint() for e in matches]
-    if any(p != prints[0] for p in prints[1:]):
-        candidates = ", ".join(e.qualified for e in matches)
+    if not sep:
+        candidates = ", ".join(e.qualified for e in _REGISTRY.values()
+                               if e.name == ref) or "domain:name"
         raise ConfigurationError(
             f"ambiguous engine {ref!r}; qualify as one of {candidates}")
-    return prints[0]
+    return get(domain, name).fingerprint()
 
 
 def describe() -> list[dict]:

@@ -125,8 +125,8 @@ def cache_key(algorithm: str, payload: dict, engine: str | None = None) -> str:
     versioned engines, their ``*_version`` field) into the key: results
     produced by different engines — or different engine revisions —
     never alias, even though they are bit-identical by contract today.
-    Accepts a qualified ``"domain:name"`` reference or an unambiguous
-    bare name (see :func:`repro.engines.fingerprint_for`).
+    ``engine`` is a qualified ``"domain:name"`` reference (see
+    :func:`repro.engines.fingerprint_for`).
     """
     if not algorithm:
         raise ConfigurationError("cache key needs an algorithm name")

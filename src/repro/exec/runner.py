@@ -109,6 +109,20 @@ class SweepRunner:
                 max_workers=self.jobs, initializer=self.initializer)
         return self._pool
 
+    def start(self) -> None:
+        """Start every persistent pool worker now, not on first use.
+
+        A caller about to open sockets (the serve listener) starts the
+        pool first, so no forked worker inherits them.  Python 3.10
+        forks one worker per submit while none is idle, so one no-op
+        submit per worker, all issued before any is awaited, starts
+        them all there too.  Returns once every worker has run its
+        initializer.
+        """
+        pool = self._persistent_pool()
+        for future in [pool.submit(int) for _ in range(self.jobs)]:
+            future.result()
+
     def map(self, worker, shard_args) -> list:
         """Run ``worker`` over every shard; results in shard order.
 

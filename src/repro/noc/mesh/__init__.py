@@ -23,9 +23,8 @@ from repro.noc.mesh.loadcurve import (LoadCurve, LoadPoint,
                                       measure_load_point, sweep_load)
 from repro.noc.mesh.vc import (VCMesh, VCRouter, SharedNetworkResult,
                                run_shared_network_experiment)
-from repro.noc.mesh.fastmesh import (MESH_ENGINES, FASTMESH_VERSION,
-                                     resolve_mesh_engine, BatchedMesh,
-                                     BatchedManyToFew, batched_load_curves,
+from repro.noc.mesh.fastmesh import (BatchedMesh, BatchedManyToFew,
+                                     batched_load_curves,
                                      batched_sweep_load,
                                      batched_fairness_experiment,
                                      batched_fairness_experiments,
@@ -41,7 +40,6 @@ __all__ = [
     "LoadCurve", "LoadPoint", "measure_load_point", "sweep_load",
     "VCMesh", "VCRouter", "SharedNetworkResult",
     "run_shared_network_experiment",
-    "MESH_ENGINES", "FASTMESH_VERSION", "resolve_mesh_engine",
     "BatchedMesh", "BatchedManyToFew", "batched_load_curves",
     "batched_sweep_load", "batched_fairness_experiment",
     "batched_fairness_experiments", "batched_reply_bottleneck",

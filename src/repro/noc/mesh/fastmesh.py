@@ -46,22 +46,10 @@ from collections import deque
 
 import numpy as np
 
-from repro import engines as _engines
 from repro import rng
-from repro.engines import FASTMESH_VERSION  # noqa: F401 (re-export)
 from repro.errors import MeshConfigError
 from repro.noc.mesh.network import _NUM_PORTS, _OPP, _RR_PICK, DeliveryStats
 from repro.noc.mesh.routing import Port, xy_route
-
-#: Mesh engine names accepted by every mesh ``engine=`` selector,
-#: sourced from the :mod:`repro.engines` registry.
-MESH_ENGINES = _engines.names("mesh")
-
-
-def resolve_mesh_engine(engine: str | None, default: str = "batched") -> str:
-    """Validate a mesh ``engine=`` argument (``None`` means ``default``)."""
-    return _engines.resolve("mesh", engine, default=default)
-
 
 # ---------------------------------------------------------------------------
 # Exact replay of the scalar traffic RNG stream

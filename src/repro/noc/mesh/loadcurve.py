@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import engines as engine_registry
 from repro.errors import MeshConfigError
 from repro.noc.mesh.network import Mesh2D
 from repro.noc.mesh.traffic import ManyToFewTraffic, default_mc_nodes
@@ -97,8 +98,7 @@ def sweep_load(rates, arbiter: str = "rr", jobs: int | None = None,
     over a process pool without changing any point's result; the batched
     engine is already one run and ignores ``jobs``.
     """
-    from repro.noc.mesh.fastmesh import resolve_mesh_engine
-    engine = resolve_mesh_engine(engine)
+    engine = engine_registry.resolve("mesh", engine)
     rates = list(rates)
     if not rates:
         raise MeshConfigError("need at least one rate")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import engines as engine_registry
 from repro import rng
 from repro.errors import MeshConfigError
 from repro.noc.mesh.flit import Packet, PacketKind
@@ -109,8 +110,7 @@ def run_fairness_experiment(arbiter: str = "rr", width: int = 6,
     ``"batched"`` delegates to the lockstep fastmesh twin (bit-identical
     by contract), ``"scalar"`` steps a :class:`Mesh2D`.
     """
-    from repro.noc.mesh.fastmesh import resolve_mesh_engine
-    engine = resolve_mesh_engine(engine)
+    engine = engine_registry.resolve("mesh", engine)
     if engine == "batched":
         from repro.noc.mesh.fastmesh import batched_fairness_experiment
         return batched_fairness_experiment(
@@ -156,8 +156,7 @@ def run_fairness_experiments(arbiters=("rr", "age"),
     builds its own mesh and traffic from (arbiter, seed), so parallel
     results match serial ones exactly.
     """
-    from repro.noc.mesh.fastmesh import resolve_mesh_engine
-    engine = resolve_mesh_engine(engine)
+    engine = engine_registry.resolve("mesh", engine)
     arbiters = list(arbiters)
     if not arbiters:
         raise MeshConfigError("need at least one arbiter kind")

@@ -57,8 +57,8 @@ _CLASS_VC = {PacketKind.REQUEST: 0, PacketKind.REPLY: 1}
 
 _ARBITER_KINDS = ("rr", "age")
 
-#: Shard count a ``jobs``-parallel :func:`sweep_vc_grid` splits its grid
-#: into (lanes per shard = ceil(points / this)).  Granularity is fixed
+#: Shard count a ``jobs``-parallel scalar :func:`sweep_vc_grid` splits
+#: its grid into (lanes per shard = ceil(points / this)).  Granularity is fixed
 #: before the worker count so results never depend on ``jobs``.
 _VC_SWEEP_SHARDS = 8
 
@@ -471,10 +471,12 @@ def sweep_vc_grid(vc_counts=(1, 2), buffer_depths=(4,),
     single lockstep :class:`~repro.noc.mesh.vcmesh_batched
     .BatchedVCMesh` run; ``"scalar"`` loops this module's golden model.
 
-    ``jobs`` shards the grid's *lanes* into fixed chunks run across a
-    process pool (each chunk still a lockstep batch under the batched
-    engine); lanes are independent, so ``jobs=1`` and ``jobs=N`` return
-    bit-identical results in the same row-major order.
+    The batched engine always runs the whole grid as one lockstep
+    batch and ignores ``jobs``: a pool would split it into narrower,
+    slower batches.  Under the scalar engine ``jobs`` shards the grid's
+    lanes into fixed chunks run across a process pool; lanes are
+    independent, so ``jobs=1`` and ``jobs=N`` return bit-identical
+    results in the same row-major order.
     """
     from repro import engines as engine_registry
     engine = engine_registry.resolve("vcmesh", engine)
@@ -484,7 +486,7 @@ def sweep_vc_grid(vc_counts=(1, 2), buffer_depths=(4,),
             for latency in credit_latencies
             for rate in injection_rates
             for seed in seeds]
-    if jobs is None:
+    if jobs is None or engine == "batched":
         return _vc_points_shard((grid, width, height, cycles, reply_flits,
                                  window, engine))
     from repro.exec import SweepRunner, chunk

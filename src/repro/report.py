@@ -21,7 +21,9 @@ two fast paths possible:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
+from repro import engines as engine_registry
 from repro.gpu.device import SimulatedGPU
 
 
@@ -44,7 +46,7 @@ class ReportRow:
 # task metrics: pure (seed -> JSON-able dict) functions, one per section
 # --------------------------------------------------------------------------
 
-def _latency_metrics(seed: int, engine: str = "scalar") -> dict:
+def _latency_metrics(seed: int, engine: str | None = None) -> dict:
     v100 = SimulatedGPU("V100", seed=seed)
     a100 = SimulatedGPU("A100", seed=seed)
     h100 = SimulatedGPU("H100", seed=seed)
@@ -68,7 +70,7 @@ def _latency_metrics(seed: int, engine: str = "scalar") -> dict:
     }
 
 
-def _bandwidth_metrics(seed: int, engine: str = "scalar") -> dict:
+def _bandwidth_metrics(seed: int, engine: str | None = None) -> dict:
     from repro.core.bandwidth_bench import (aggregate_l2_bandwidth,
                                             aggregate_memory_bandwidth,
                                             group_to_slice_bandwidth,
@@ -89,14 +91,16 @@ def _bandwidth_metrics(seed: int, engine: str = "scalar") -> dict:
     }
 
 
-def _mesh_bottleneck_metrics(seed: int, engine: str = "batched") -> dict:
+def _mesh_bottleneck_metrics(seed: int,
+                             engine: str | None = None) -> dict:
     from repro.noc.mesh.interfaces import run_reply_bottleneck
     rb = run_reply_bottleneck(cycles=6000, window=100, seed=seed,
                               engine=engine)
     return {"mean_utilization": float(rb.mean_utilization)}
 
 
-def _mesh_fairness_metrics(arbiter: str, seed: int, engine: str) -> dict:
+def _mesh_fairness_metrics(arbiter: str, seed: int,
+                           engine: str | None = None) -> dict:
     from repro.noc.mesh.traffic import run_fairness_experiment
     result = run_fairness_experiment(arbiter, cycles=10000, warmup=2000,
                                      seed=seed, engine=engine)
@@ -109,12 +113,8 @@ _TASK_FUNCS = {
     "latency": _latency_metrics,
     "bandwidth": _bandwidth_metrics,
     "mesh-bottleneck": _mesh_bottleneck_metrics,
-    "mesh-fairness-rr":
-        lambda seed, engine="batched":
-            _mesh_fairness_metrics("rr", seed, engine),
-    "mesh-fairness-age":
-        lambda seed, engine="batched":
-            _mesh_fairness_metrics("age", seed, engine),
+    "mesh-fairness-rr": partial(_mesh_fairness_metrics, "rr"),
+    "mesh-fairness-age": partial(_mesh_fairness_metrics, "age"),
 }
 
 _DEVICE_TASKS = ("latency", "bandwidth")
@@ -148,8 +148,8 @@ def _task_payload(task: str, seed: int) -> dict:
     return payload
 
 
-def _collect_metrics(tasks, seed: int, jobs, cache, engine: str = "scalar",
-                     mesh_engine: str = "batched") -> dict:
+def _collect_metrics(tasks, seed: int, jobs, cache, engine: str,
+                     mesh_engine: str) -> dict:
     """Metrics for every task, via cache where possible, pool if asked.
 
     Device tasks run on ``engine`` (scalar/vectorized); mesh tasks run on
@@ -253,7 +253,7 @@ def _mesh_rows(bottleneck: dict, rr: dict, age: dict) -> list:
 
 def generate_report(seed: int = 0, include_mesh: bool = True,
                     jobs: int | None = None, cache=None,
-                    engine: str = "scalar",
+                    engine: str | None = None,
                     mesh_engine: str | None = None) -> str:
     """Markdown paper-vs-measured report (fast benchmark subset).
 
@@ -262,12 +262,11 @@ def generate_report(seed: int = 0, include_mesh: bool = True,
     :class:`repro.exec.ResultCache` (or a directory path) memoizing task
     metrics across invocations.  ``engine`` selects the measurement
     engine for the device-bound tasks and ``mesh_engine`` the kernel for
-    the mesh tasks (default: the batched fastmesh engine); the report is
-    bit-identical either way, but cache entries never alias across
-    engines.
+    the mesh tasks (``None``: each domain's registered default); the
+    report is bit-identical either way, but cache entries never alias
+    across engines.
     """
-    from repro import engines as engine_registry
-    engine = engine_registry.resolve("device", engine, default="scalar")
+    engine = engine_registry.resolve("device", engine)
     mesh_engine = engine_registry.resolve("mesh", mesh_engine)
     if isinstance(cache, str):
         from repro.exec import ResultCache

@@ -295,17 +295,18 @@ def _report(params) -> dict:
 _SEED = Param("seed", "int", 0, doc="device seed")
 _GPU = Param("gpu", "gpu", "V100", doc="V100/A100/H100")
 #: Hot endpoints default to the vectorized fast path (bit-identical to
-#: scalar); report endpoints keep the scalar golden model as default.
-#: Choices come from the engine registry, so registering a kernel there
-#: is what makes it servable — no per-endpoint lists to update.
+#: scalar); report endpoints take the device domain's registered
+#: default, as ``repro report`` does.  Choices come from the engine
+#: registry, so registering a kernel there is what makes it servable —
+#: no per-endpoint lists to update.
 _ENGINE_FAST = Param("engine", "str", "vectorized",
                      choices=tuple(engine_registry.names("device")),
                      doc="measurement engine (results bit-identical)")
-_ENGINE_SCALAR = Param("engine", "str", "scalar",
+_ENGINE_REPORT = Param("engine", "str",
+                       engine_registry.default_name("device"),
                        choices=tuple(engine_registry.names("device")),
                        doc="measurement engine (results bit-identical)")
-#: Mesh sections default to the batched fastmesh kernel (bit-identical
-#: to the scalar Mesh2D golden model).
+#: Mesh sections default to the mesh domain's registered default.
 _MESH_ENGINE = Param("mesh_engine", "str",
                      engine_registry.default_name("mesh"),
                      choices=tuple(engine_registry.names("mesh")),
@@ -397,7 +398,7 @@ EXPERIMENTS = {e.name: e for e in (
         "raw metrics of one report section",
         _report_section,
         (_SEED, Param("section", "str", "latency",
-                      choices=REPORT_SECTIONS), _ENGINE_SCALAR,
+                      choices=REPORT_SECTIONS), _ENGINE_REPORT,
          _MESH_ENGINE)),
     Experiment(
         "report",
@@ -405,7 +406,7 @@ EXPERIMENTS = {e.name: e for e in (
         _report,
         (_SEED, Param("mesh", "bool", True,
                       doc="include the slower mesh sections"),
-         _ENGINE_SCALAR, _MESH_ENGINE)),
+         _ENGINE_REPORT, _MESH_ENGINE)),
 )}
 
 
@@ -439,9 +440,9 @@ def engine_param(name: str, params: dict):
 
     Returns a registry-qualified ``"domain:name"`` reference — VC-mesh
     experiments key on the ``vcmesh`` kernel, other mesh experiments on
-    the ``mesh`` kernel (a ``*_VERSION`` bump invalidates exactly that
-    kernel's entries), everything else on the ``device`` measurement
-    engine.  ``None`` for experiments with no engine parameter
+    the ``mesh`` kernel (a version bump in :mod:`repro.engines`
+    invalidates exactly that kernel's entries), everything else on the
+    ``device`` measurement engine.  ``None`` for experiments with no engine parameter
     (``observations``).
     """
     domain = ENGINE_DOMAINS.get(name, "device")

@@ -16,22 +16,24 @@ long-lived JSON-over-HTTP service.  A request's life:
    unbounded queue.
 5. **Compute** — on the sharded :class:`~repro.serve.workers.WorkerPool`
    tier (``workers=N``: consistent-hash routing by cache key, shared
-   on-disk cache, shm result transport, receipts), or on the legacy
-   single :class:`~repro.exec.runner.SweepRunner` pool (``workers=0``).
-   Every computation leaves a :mod:`~repro.serve.registry` receipt that
+   on-disk cache, shm result transport, receipts), or on the single
+   tier's :class:`~repro.exec.runner.SweepRunner` pool (``workers=0``);
+   both run :func:`~repro.serve.workers.compute_result`.  Every
+   computation leaves a :mod:`~repro.serve.registry` receipt that
    ``POST /v1/replay`` can recompute and digest-check.
 
 Responses for an experiment are canonical JSON (sorted keys, fixed
-separators) of ``{experiment, params, value}``.  The worker tier ships
-the *value*'s canonical bytes (often via shared memory) and the server
-splices them into the envelope, so the bytes are identical whether a
-given response was computed by a worker, computed by the legacy pool,
-coalesced, or a cache hit — a property the end-to-end tests assert.
+separators) of ``{experiment, params, value}``.  Both tiers ship the
+*value*'s canonical bytes (the worker tier often via shared memory) and
+the server splices them into the envelope, so the bytes are identical
+whether a given response was computed by either tier, coalesced, or a
+cache hit — a property the end-to-end tests assert.
 
-``stop()`` drains gracefully: the listener closes first, in-flight
-requests (and their computations) finish, then the compute tier shuts
-down.  ``POST /v1/workers/restart`` rolls the worker pool one process
-at a time *without* stopping the server.
+``stop()`` drains gracefully (``repro serve`` calls it on SIGINT and
+SIGTERM): the listener closes first, in-flight requests (and their
+computations) finish, then the compute tier shuts down.
+``POST /v1/workers/restart`` rolls the worker pool one process at a
+time *without* stopping the server.
 
 HTTP handling is deliberately minimal — HTTP/1.1, one request per
 connection, ``Connection: close`` — because the server's clients are
@@ -43,8 +45,8 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import hashlib
 import json
+import re
 import threading
 import time
 from pathlib import Path
@@ -54,14 +56,14 @@ from repro.exec.cache import _jsonify
 from repro.serve.coalesce import AdmissionController, Singleflight
 from repro.serve.experiments import (EXPERIMENTS, ExperimentRequestError,
                                      cache_payload, describe_experiments,
-                                     engine_param, normalize,
-                                     run_experiment)
+                                     engine_param, normalize)
 from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import RunRegistry
 from repro.serve.shm import SHM_MIN_BYTES
 from repro.serve.streams import StreamBook, StreamError
 from repro.serve.workers import (NoLiveWorkersError, WorkerPool,
-                                 WorkerResult, warm_imports)
+                                 WorkerResult, compute_result,
+                                 warm_imports)
 from repro.units import MIB
 
 #: Default bound on concurrently admitted (cold) computations.
@@ -78,6 +80,9 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             500: "Internal Server Error", 503: "Service Unavailable"}
 
 _MISS = object()
+
+#: A ``Content-Length`` value: decimal digits only (no sign, no spaces).
+_CONTENT_LENGTH = re.compile(r"[0-9]+")
 
 
 def canonical_json(value) -> bytes:
@@ -150,11 +155,16 @@ class ExperimentServer:
     # ---------------------------------------------------------------- setup
 
     async def start(self) -> None:
-        """Bind and start accepting (resolves ``self.port`` if it was 0)."""
+        """Bind and start accepting (resolves ``self.port`` if it was 0).
+
+        The compute tier starts first: the single tier's pool children
+        are forked before the listener exists, so none of them holds
+        the listening socket or a client connection.
+        """
         self._handlers_idle = asyncio.Event()
         self._handlers_idle.set()
-        if self.pool is not None:
-            await asyncio.to_thread(self.pool.start)
+        await asyncio.to_thread(self.pool.start if self.pool is not None
+                                else self.runner.start)
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -226,14 +236,17 @@ class ExperimentServer:
         for line in lines[1:]:
             if ":" in line:
                 name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
+                name = name.strip().lower()
+                if name == "content-length" and name in headers:
+                    raise _HttpError(400, "repeated Content-Length")
+                headers[name] = value.strip()
         return method.upper(), target, headers
 
     async def _read_body(self, reader, headers: dict) -> bytes:
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            raise _HttpError(400, "bad Content-Length") from None
+        value = headers.get("content-length", "0")
+        if not _CONTENT_LENGTH.fullmatch(value):
+            raise _HttpError(400, "bad Content-Length")
+        length = int(value)
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
         return await reader.readexactly(length) if length > 0 else b""
@@ -403,7 +416,7 @@ class ExperimentServer:
         except ExperimentRequestError as exc:
             raise _HttpError(400, str(exc)) from None
         # mesh experiments key on the mesh kernel's fingerprint (so a
-        # FASTMESH_VERSION bump invalidates exactly the batched entries);
+        # mesh:batched version bump invalidates exactly its entries);
         # device experiments key on the measurement engine's
         key = cache_key(f"serve:{name}", cache_payload(name, params),
                         engine=engine_param(name, params))
@@ -476,18 +489,13 @@ class ExperimentServer:
                 raise _HttpError(
                     503, "every worker shard is draining; retry") from None
             return await asyncio.wrap_future(future)
-        started = time.perf_counter()
-        future = self.runner.submit(run_experiment, (name, params))
-        value = await asyncio.wrap_future(future)
-        value_bytes = canonical_json(value)
-        wall_ms = (time.perf_counter() - started) * 1e3
-        if self.cache is not None:
-            await asyncio.to_thread(self.cache.put_bytes, key,
-                                    value_bytes)
-        return WorkerResult(
-            value_bytes=value_bytes,
-            digest=hashlib.sha256(value_bytes).hexdigest(),
-            worker="local", wall_ms=wall_ms, transport="pickle")
+        cache_dir = self.cache.directory if self.cache is not None else None
+        future = self.runner.submit(compute_result,
+                                    (name, params, key, cache_dir))
+        value_bytes, digest, wall_ms = await asyncio.wrap_future(future)
+        return WorkerResult(value_bytes=value_bytes, digest=digest,
+                            worker="local", wall_ms=wall_ms,
+                            transport="pickle")
 
     def _record_receipt(self, name: str, params: dict, key: str,
                         result: WorkerResult) -> None:

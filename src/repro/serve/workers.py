@@ -119,8 +119,8 @@ def warm_imports() -> None:
     """Pre-import the heavy compute stack inside a fresh worker.
 
     Keeps the first request's latency at compute cost rather than
-    import cost; shared by this tier and the legacy ``SweepRunner``
-    pool (as its initializer).
+    import cost; shared by this tier and the single tier's
+    ``SweepRunner`` pool (as its initializer).
     """
     import numpy                                            # noqa: F401
 
@@ -129,6 +129,31 @@ def warm_imports() -> None:
     import repro.noc.mesh.fastmesh                          # noqa: F401
     import repro.sidechannel.probe                          # noqa: F401
     from repro.serve import experiments                     # noqa: F401
+
+
+def compute_result(job) -> tuple:
+    """Compute one experiment into its wire form, for either serve tier.
+
+    ``job`` is ``(name, params, key, cache_dir)``.  Runs the
+    experiment, encodes its value as canonical JSON once, stores those
+    bytes under ``key`` when a cache directory is given, and digests
+    them.  Returns ``(value_bytes, sha256 hex digest, wall_ms)``: the
+    front-end splices the bytes into the response envelope as they
+    are.  Both the worker tier's processes and the single tier's
+    ``SweepRunner`` child call this, so a response's bytes never depend
+    on which tier computed them.
+    """
+    from repro.exec.cache import ResultCache
+    from repro.serve.experiments import run_experiment
+    from repro.serve.server import canonical_json
+
+    name, params, key, cache_dir = job
+    started = time.perf_counter()
+    value_bytes = canonical_json(run_experiment((name, params)))
+    if cache_dir:
+        ResultCache(cache_dir).put_bytes(key, value_bytes)
+    wall_ms = (time.perf_counter() - started) * 1e3
+    return value_bytes, hashlib.sha256(value_bytes).hexdigest(), wall_ms
 
 
 def _worker_main(worker_id: int, inbox, outbox, cache_dir,
@@ -142,30 +167,20 @@ def _worker_main(worker_id: int, inbox, outbox, cache_dir,
     travel through shared memory.
     """
     warm_imports()
-    from repro.exec.cache import ResultCache
-    from repro.serve.experiments import run_experiment
-    from repro.serve.server import canonical_json
-
-    cache = ResultCache(cache_dir) if cache_dir else None
     outbox.put(("ready", worker_id, os.getpid()))
     while True:
         message = inbox.get()
         if message is None:
             break
         job_id, name, params, key = message
-        started = time.perf_counter()
         try:
-            value = run_experiment((name, params))
-            value_bytes = canonical_json(value)
-            if cache is not None:
-                cache.put_bytes(key, value_bytes)
-            wall_ms = (time.perf_counter() - started) * 1e3
+            value_bytes, digest, wall_ms = compute_result(
+                (name, params, key, cache_dir))
             if len(value_bytes) >= shm_min_bytes:
                 ref = shm_transport.share_bytes(value_bytes, worker_id)
                 outbox.put(("done", worker_id, job_id, "shm", ref,
-                            ref.sha256, wall_ms))
+                            digest, wall_ms))
             else:
-                digest = hashlib.sha256(value_bytes).hexdigest()
                 outbox.put(("done", worker_id, job_id, "inline",
                             value_bytes, digest, wall_ms))
         except Exception as exc:

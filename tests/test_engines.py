@@ -45,7 +45,6 @@ def test_describe_is_json_catalogue():
 
 def test_resolve_fills_domain_default():
     assert engines.resolve("mesh", None) == "batched"
-    assert engines.resolve("mesh", None, default="scalar") == "scalar"
     assert engines.resolve("mesh", "scalar") == "scalar"
 
 
@@ -75,19 +74,17 @@ def test_fingerprint_for_qualified_refs():
         engines.fingerprint("mesh", "batched")
     assert engines.fingerprint_for("vcmesh:batched") == \
         engines.fingerprint("vcmesh", "batched")
-    assert engines.fingerprint_for("vectorized") == \
+    assert engines.fingerprint_for("device:vectorized") == \
         engines.fingerprint("device", "vectorized")
 
 
-def test_fingerprint_for_bare_scalar_is_unambiguous():
-    # every domain's scalar fingerprint is identical, so the bare name
-    # resolves even though three domains match
-    assert engines.fingerprint_for("scalar") == {"name": "scalar"}
-
-
 def test_fingerprint_for_ambiguous_bare_name():
-    # mesh:batched and vcmesh:batched fingerprint differently
-    with pytest.raises(ConfigurationError, match="ambiguous engine"):
+    # a bare name never resolves, even one only a single domain
+    # registers: every caller names the domain it means
+    for bare in ("batched", "scalar", "vectorized"):
+        with pytest.raises(ConfigurationError, match="ambiguous engine"):
+            engines.fingerprint_for(bare)
+    with pytest.raises(ConfigurationError, match="mesh:batched"):
         engines.fingerprint_for("batched")
 
 
@@ -107,13 +104,3 @@ def test_register_rejects_duplicates_and_bad_versions():
                        match="version_field without a version"):
         engines.register("mesh", "fieldonly",
                          version_field="field_version")
-
-
-def test_legacy_wrappers_are_registry_views():
-    from repro.core import fastpath
-    from repro.noc.mesh import fastmesh
-    assert tuple(fastpath.ENGINES) == engines.names("device")
-    assert tuple(fastmesh.MESH_ENGINES) == engines.names("mesh")
-    # the historical bare-"batched" alias keeps meaning the mesh kernel
-    assert fastpath.engine_fingerprint("batched") == \
-        engines.fingerprint("mesh", "batched")

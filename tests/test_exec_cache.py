@@ -35,18 +35,43 @@ def test_key_changes_with_any_input():
 
 def test_key_separates_engines():
     """Engine-addressed entries never alias across engines or versions."""
-    from repro.core.fastpath import FASTPATH_VERSION, engine_fingerprint
+    from repro.engines import FASTPATH_VERSION, fingerprint_for
     base = cache_key("latency", {"seed": 0})
-    scalar = cache_key("latency", {"seed": 0}, engine="scalar")
-    fast = cache_key("latency", {"seed": 0}, engine="vectorized")
+    scalar = cache_key("latency", {"seed": 0}, engine="device:scalar")
+    fast = cache_key("latency", {"seed": 0}, engine="device:vectorized")
     assert len({base, scalar, fast}) == 3
     # the vectorized fingerprint pins the fastpath version, so bumping it
     # invalidates vectorized entries without touching scalar ones
-    assert engine_fingerprint("vectorized") == {
+    assert fingerprint_for("device:vectorized") == {
         "name": "vectorized", "fastpath_version": FASTPATH_VERSION}
-    assert engine_fingerprint("scalar") == {"name": "scalar"}
-    with pytest.raises(ConfigurationError):
-        cache_key("latency", {"seed": 0}, engine="turbo")
+    assert fingerprint_for("device:scalar") == {"name": "scalar"}
+    for engine in ("device:turbo", "vectorized"):
+        with pytest.raises(ConfigurationError):
+            cache_key("latency", {"seed": 0}, engine=engine)
+
+
+def test_keys_pinned_across_releases():
+    """Existing cache directories stay valid: these hex keys must hold.
+
+    One report task, one served ``latency-matrix`` request and one
+    served mesh request; a change here orphans every stored entry.
+    """
+    from repro.report import _task_payload
+    from repro.serve.experiments import (cache_payload, engine_param,
+                                         normalize)
+
+    def served(name, raw):
+        params = normalize(name, raw)
+        return cache_key(f"serve:{name}", cache_payload(name, params),
+                         engine=engine_param(name, params))
+
+    assert cache_key("report-task", _task_payload("latency", 0),
+                     "device:scalar") == (
+        "861a8c99b4574155b1f4da8e3b6cf6c5213dc40ea3fcba5e16c42e0ac0d91019")
+    assert served("latency-matrix", {"gpu": "V100", "sms": [0]}) == (
+        "4c6803e2ec755e4d3a206b55b8b39276988a4a1341e8b554891764d54c5d18e9")
+    assert served("mesh-load-sweep", {}) == (
+        "e12154cc15fee8d3610dff6f21d689869f83777d9fd67aa569ec47bdd286ce73")
 
 
 def test_get_or_compute_keys_by_engine(cache):
@@ -56,10 +81,12 @@ def test_get_or_compute_keys_by_engine(cache):
         calls.append(1)
         return {"answer": 42}
 
-    cache.get_or_compute("alg", {"p": 1}, compute, engine="scalar")
-    cache.get_or_compute("alg", {"p": 1}, compute, engine="vectorized")
+    cache.get_or_compute("alg", {"p": 1}, compute, engine="device:scalar")
+    cache.get_or_compute("alg", {"p": 1}, compute,
+                         engine="device:vectorized")
     assert len(calls) == 2
-    cache.get_or_compute("alg", {"p": 1}, compute, engine="vectorized")
+    cache.get_or_compute("alg", {"p": 1}, compute,
+                         engine="device:vectorized")
     assert len(calls) == 2
 
 

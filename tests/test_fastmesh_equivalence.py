@@ -18,10 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import engines
 from repro.errors import ConfigurationError
 from repro.noc.mesh.fastmesh import (
-    FASTMESH_VERSION,
-    MESH_ENGINES,
     BatchedManyToFew,
     BatchedMesh,
     batched_fairness_experiment,
@@ -29,7 +28,6 @@ from repro.noc.mesh.fastmesh import (
     batched_load_curves,
     batched_reply_bottleneck,
     batched_sweep_load,
-    resolve_mesh_engine,
 )
 from repro.noc.mesh.interfaces import run_reply_bottleneck
 from repro.noc.mesh.loadcurve import sweep_load
@@ -109,20 +107,19 @@ def assert_stats_equal(scalar_mesh, batched_mesh, lane=0):
 # ---------------------------------------------------------------------------
 
 def test_mesh_engines_tuple():
-    assert MESH_ENGINES == ("scalar", "batched")
-    assert isinstance(FASTMESH_VERSION, int)
+    assert engines.names("mesh") == ("scalar", "batched")
+    assert isinstance(engines.FASTMESH_VERSION, int)
 
 
-def test_resolve_mesh_engine_default():
-    assert resolve_mesh_engine(None) == "batched"
-    assert resolve_mesh_engine(None, default="scalar") == "scalar"
-    assert resolve_mesh_engine("scalar") == "scalar"
-    assert resolve_mesh_engine("batched") == "batched"
+def test_mesh_engine_default():
+    assert engines.resolve("mesh", None) == "batched"
+    assert engines.resolve("mesh", "scalar") == "scalar"
+    assert engines.resolve("mesh", "batched") == "batched"
 
 
-def test_resolve_mesh_engine_rejects_unknown():
+def test_mesh_engine_rejects_unknown():
     with pytest.raises(ConfigurationError, match="unknown engine"):
-        resolve_mesh_engine("vectorized")
+        engines.resolve("mesh", "vectorized")
 
 
 @pytest.mark.parametrize("call", [

@@ -18,13 +18,12 @@ from repro.core.bandwidth_bench import (aggregate_l2_bandwidth,
                                         single_sm_slice_bandwidth,
                                         slice_bandwidth_distribution,
                                         slice_saturation_curve)
-from repro.core.fastpath import resolve_engine
 from repro.core.fastpath.noise import get_bank
 from repro.core.latency_bench import measured_latency_matrix
 from repro.core.speedup_bench import measure_speedups
 from repro.errors import ConfigurationError
 from repro.gpu.device import SimulatedGPU
-from repro import rng
+from repro import engines, rng
 
 SPECS = ("V100", "A100", "H100")
 SEEDS = (0, 11)
@@ -36,12 +35,12 @@ def device_pair(spec, seed):
 
 # ------------------------------------------------------------- engine arg
 
-def test_resolve_engine():
-    assert resolve_engine(None) == "scalar"
-    assert resolve_engine("scalar") == "scalar"
-    assert resolve_engine("vectorized") == "vectorized"
+def test_device_engine_resolution():
+    assert engines.resolve("device", None) == "scalar"
+    assert engines.resolve("device", "scalar") == "scalar"
+    assert engines.resolve("device", "vectorized") == "vectorized"
     with pytest.raises(ConfigurationError, match="unknown engine"):
-        resolve_engine("turbo")
+        engines.resolve("device", "turbo")
 
 
 def test_measurement_apis_reject_unknown_engine():

@@ -356,33 +356,7 @@ def test_rep008_scope_covers_exec_and_ipc():
 
 # ------------------------------------------------------------------ REP009
 
-def test_rep009_cross_file_positive():
-    result = run_lint(["src/repro/core/rep009_bad.py",
-                       "src/repro/core/rep009_ok.py"],
-                      root=TREE, select=("REP009",))
-    assert [f.rule for f in result.findings] == ["REP009"]
-    finding = result.findings[0]
-    assert finding.path == "src/repro/core/rep009_bad.py"
-    assert "engine 'turbo'" in finding.message
-    assert "SOLVER_ENGINES" in finding.message
-
-
-def test_rep009_partial_path_set_is_silent():
-    # without the engine_fingerprint side there is nothing to diff
-    result = run_lint(["src/repro/core/rep009_bad.py"], root=TREE,
-                      select=("REP009",))
-    assert result.findings == []
-
-
-def test_rep009_scalar_and_versioned_exempt():
-    result = run_lint(["src/repro/core/rep009_ok.py"], root=TREE,
-                      select=("REP009",))
-    assert result.findings == []
-
-
 def test_rep009_register_call_positive():
-    # the registry form is file-local: a versionless register() call
-    # reports without any engine_fingerprint in the path set
     result = run_lint(["src/repro/core/rep009_register_bad.py"],
                       root=TREE, select=("REP009",))
     assert [f.rule for f in result.findings] == ["REP009"]

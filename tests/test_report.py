@@ -1,5 +1,7 @@
 """Report generator + its CLI command."""
 
+import pytest
+
 from repro.cli import main
 from repro.report import ReportRow, generate_report
 
@@ -24,3 +26,12 @@ def test_report_cli(capsys):
     assert main(["report", "--no-mesh"]) == 0
     out = capsys.readouterr().out
     assert "| experiment |" in out
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_report_text_identical_across_device_engines(seed):
+    """The device default may switch engines without moving a byte."""
+    scalar = generate_report(seed=seed, include_mesh=False, engine="scalar")
+    fast = generate_report(seed=seed, include_mesh=False,
+                           engine="vectorized")
+    assert scalar == fast

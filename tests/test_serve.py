@@ -189,3 +189,71 @@ def test_wait_healthy_respects_deadline():
             deadline_s=0.2,
             backoff=Backoff(initial_s=0.01, max_s=0.05, seed=1))
     assert time.monotonic() - start < 2.0
+
+
+def _group_alive(pgid: int) -> bool:
+    import os
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_drains_and_leaves_nothing_behind(tmp_path):
+    """``repro serve`` on SIGTERM: a clean drain, like SIGINT.
+
+    The pool child is forked before the listener binds, so it holds no
+    client connection (the first reply reaches EOF) and no listening
+    socket; the drain then reaps it, so the process group empties and
+    the port can be bound again.
+    """
+    import os
+    import re
+    import signal
+    import socket
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    process = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.cli", "serve", "--port", "0",
+         "--cache", str(tmp_path / "cache")],
+        stdout=subprocess.PIPE, text=True, env=env, start_new_session=True)
+    pgid = process.pid
+    try:
+        banner = process.stdout.readline()
+        match = re.search(r"http://[\d.]+:(\d+)", banner)
+        assert match, f"no listen banner, got: {banner!r}"
+        port = int(match.group(1))
+        body = b'{"gpu":"V100","sms":[0],"samples":1}'
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=15) as sock:
+            sock.sendall(b"POST /v1/experiments/latency-matrix HTTP/1.1\r\n"
+                         b"Content-Length: " + str(len(body)).encode()
+                         + b"\r\n\r\n" + body)
+            reply = b""
+            while True:                 # socket.timeout here = no EOF
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 200 ")
+
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=60) == 0
+        deadline = time.monotonic() + 10
+        while _group_alive(pgid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _group_alive(pgid), "a server process outlived SIGTERM"
+        with socket.socket() as probe:
+            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            probe.bind(("127.0.0.1", port))
+    finally:
+        if _group_alive(pgid):
+            os.killpg(pgid, signal.SIGKILL)
+        process.wait(timeout=30)
+        process.stdout.close()

@@ -260,3 +260,52 @@ def test_bad_params_is_400(edge_client):
 def test_responses_are_canonical_json(edge_client):
     body = edge_client.experiments().body
     assert body == canonical_json(json.loads(body))
+
+
+def _raw_exchange(port: int, request: bytes) -> tuple:
+    """Send raw request bytes; (status, body) of the reply read to EOF."""
+    import socket
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        except ConnectionResetError:    # server closed with body unread
+            pass
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), body
+
+
+#: A one-SM-row request: a server that mis-reads its body answers 200
+#: with the default full-V100 matrix instead.
+_ONE_ROW = b'{"gpu":"V100","sms":[0],"samples":1}'
+
+
+def _post(lengths) -> bytes:
+    head = b"POST /v1/experiments/latency-matrix HTTP/1.1\r\nHost: x\r\n"
+    for length in lengths:
+        head += b"Content-Length: " + length + b"\r\n"
+    return head + b"\r\n" + _ONE_ROW
+
+
+@pytest.mark.parametrize("length", [b"-5", b"+36", b"3_6", b"0x24"])
+def test_signed_or_non_decimal_content_length_is_400(edge_server, length):
+    status, body = _raw_exchange(edge_server.port, _post([length]))
+    assert status == 400
+    assert b"Content-Length" in body
+
+
+def test_repeated_content_length_is_400(edge_server):
+    length = str(len(_ONE_ROW)).encode()
+    status, body = _raw_exchange(edge_server.port, _post([length, b"0"]))
+    assert status == 400
+    assert b"Content-Length" in body
+    # a single well-formed header still reads the body it announces
+    status, body = _raw_exchange(edge_server.port, _post([length]))
+    assert status == 200
+    assert json.loads(body)["params"]["sms"] == [0]

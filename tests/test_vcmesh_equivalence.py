@@ -123,6 +123,20 @@ def test_vc_grid_identical_row_major():
         assert s.to_json() == b.to_json()
 
 
+def test_batched_sweep_runs_one_batch_whatever_jobs(monkeypatch):
+    """``jobs`` never splits the batched grid: no pool, same bytes."""
+    import repro.exec.runner as runner_mod
+
+    kwargs = dict(vc_counts=(1, 2), seeds=(0, 3), cycles=300, window=50)
+    serial = sweep_vc_grid(**kwargs)
+
+    def no_pool(*args, **kw):
+        raise AssertionError("the batched sweep started a process pool")
+    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", no_pool)
+    pooled = sweep_vc_grid(jobs=2, **kwargs)
+    assert [r.to_json() for r in pooled] == [r.to_json() for r in serial]
+
+
 def test_default_engine_is_batched():
     via_registry = run_shared_network_experiment(2, cycles=400, window=100)
     direct = batched_shared_network_experiment(2, cycles=400, window=100)
